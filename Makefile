@@ -59,8 +59,8 @@ stream-smoke:
 # subsystem, the joint multivariate detector and every baseline still
 # drive end to end, and that the multivariate pass stays bit-identical
 # to the sequential row-major oracle (the experiment exits non-zero on
-# divergence). -scenjson '' keeps the checked-in full-grid
-# BENCH_scenarios.json intact.
+# divergence). -scenjson '' skips the JSON write, so a local full-grid
+# BENCH_scenarios.json (gitignored, like every BENCH_*.json) survives.
 scenario-smoke:
 	$(GO) run ./cmd/cabd-bench -exp scenarios -smoke -scenjson ''
 

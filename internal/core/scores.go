@@ -186,6 +186,10 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 		return
 	}
 	vs := 1 - stats.Std2(left, right)/sdAll
+	// The clamp lets a NaN through (both comparisons are false). None
+	// arises from sanitized input — finite values bounded by
+	// sanitize.DefaultMaxAbs keep both deviations finite, and sdAll is
+	// nonzero here — and the forest requires NaN-free features.
 	if vs < 0 {
 		vs = 0
 	}

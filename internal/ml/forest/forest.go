@@ -9,18 +9,23 @@
 // Snapshot wire form uses — so inference walks contiguous memory instead
 // of chasing heap pointers, and PredictProbaBatch streams each tree
 // through all rows of a column-major Matrix (tree-major order: the hot
-// node array stays cached while rows advance). Training fans the trees
-// out over per-tree goroutines; every tree draws from its own rand.Rand
-// seeded from the caller's stream before the fan-out, so the ensemble is
-// bit-identical at any worker count (Workers: 1 is the sequential
-// differential oracle).
+// node array stays cached while rows advance). Split search is
+// presorted: each column is argsorted once per forest, every tree
+// expands its bootstrap sample along those orders, and a node sweeps
+// its rows of each candidate feature already in value order — O(d·k)
+// per node, no per-node sort. Training fans the trees out over per-tree
+// goroutines; every tree draws from its own rand.Rand seeded from the
+// caller's stream before the fan-out, so the ensemble is bit-identical
+// at any worker count (Workers: 1 is the sequential differential
+// oracle).
 package forest
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -105,9 +110,14 @@ func TrainWeighted(X [][]float64, y []int, weights []float64, cfg Config, rng *r
 
 // TrainMatrixWeighted is TrainWeighted over a column-major feature
 // matrix — the native form of the scoring hot path, which fills one
-// index-aligned column per feature. Training reads each split's
-// candidate feature as one contiguous column. Returns nil on empty or
-// inconsistent input.
+// index-aligned column per feature. Each column is argsorted once, and
+// every node's split search sweeps its rows in that order. Returns nil
+// on empty or inconsistent input.
+//
+// Every column must be free of NaN: the split search orders rows by
+// value, and NaN has no place in that order, so the trained splits
+// would be undefined. The detector's scoring pass guarantees this for
+// sanitized series.
 func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *rand.Rand) *Forest {
 	n := m.N
 	if n == 0 || len(y) != n || cfg.NumClasses <= 0 || !m.valid() {
@@ -142,6 +152,7 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 	for t := range seeds {
 		seeds[t] = rng.Int63()
 	}
+	order := argsortColumns(m)
 	f := &Forest{
 		numClasses: cfg.NumClasses,
 		trees:      make([]tree, cfg.Trees),
@@ -155,7 +166,7 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 		workers = cfg.Trees
 	}
 	if workers <= 1 {
-		b := newBuilder(m, y, cfg)
+		b := newBuilder(m, y, order, cfg)
 		for t := 0; t < cfg.Trees; t++ {
 			f.trees[t], f.inBag[t] = b.train(cum, rand.New(rand.NewSource(seeds[t])))
 		}
@@ -171,7 +182,7 @@ func TrainMatrixWeighted(m Matrix, y []int, weights []float64, cfg Config, rng *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b := newBuilder(m, y, cfg)
+			b := newBuilder(m, y, order, cfg)
 			for t := range ch {
 				// Each slot is written by exactly one goroutine; the
 				// deterministic merge is the tree index itself.
@@ -197,177 +208,238 @@ func searchCum(cum []float64, v float64) int {
 	return lo
 }
 
-// splitPair is one (feature value, class) pair of the sorted split sweep.
-type splitPair struct {
-	v float64
-	y int32
+// argsortColumns returns, per feature, the row indices of m in ascending
+// order of that feature's value. It runs once per forest and is shared
+// read-only by every tree builder. A featureless matrix still gets one
+// (identity) order, since each node's rows live in the sorted lists.
+func argsortColumns(m Matrix) [][]int32 {
+	d := max(len(m.Cols), 1)
+	flat := make([]int32, d*m.N)
+	order := make([][]int32, d)
+	for f := range order {
+		o := flat[f*m.N : (f+1)*m.N]
+		for i := range o {
+			o[i] = int32(i)
+		}
+		if f < len(m.Cols) {
+			col := m.Cols[f]
+			slices.SortFunc(o, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		}
+		order[f] = o
+	}
+	return order
 }
 
-// builder holds the per-goroutine scratch of tree construction so the
-// training loop allocates only the nodes and leaf distributions that
-// outlive it.
+// builder holds the per-goroutine scratch of tree construction, reused
+// across every tree the goroutine builds, so the training loop allocates
+// only what outlives it: each tree's nodes, leaf distributions and
+// bootstrap membership.
+//
+// A tree's bootstrap sample lives in lists: per feature, the sampled rows
+// (repeated by multiplicity) in ascending order of that feature. Every
+// node owns the same segment [lo,hi) of each list — one multiset of rows,
+// sorted d ways — so the split search sweeps sorted values directly and a
+// split stably partitions each segment, keeping both halves sorted.
 type builder struct {
-	m   Matrix
-	y   []int
-	cfg Config
+	m     Matrix
+	y     []int
+	order [][]int32 // shared per-feature argsort of all rows (read-only)
+	cfg   Config
 
-	nodes []FlatNode  // current tree under construction (preorder)
-	boot  []int       // bootstrap row indices
-	part  []int       // stable-partition spill buffer
-	pairs []splitPair // per-feature sorted (value, class) sweep
-	lc    []int       // left class counts of the sweep
-	tc    []int       // total class counts of the node under split
+	nodes []FlatNode // current tree under construction (preorder)
+	probs []float64  // its leaf distributions, NumClasses per leaf
+	mult  []int32    // bootstrap multiplicity of each row
+	lists [][]int32  // per-feature sorted bootstrap rows
+	left  []bool     // per row: side of the split being applied
+	spill []int32    // stable-partition spill buffer
+	perm  []int      // feature shuffle of the split search
+	lc    []int      // left class counts of the sweep
+	tc    []int      // class counts of the node under construction
 }
 
-func newBuilder(m Matrix, y []int, cfg Config) *builder {
+func newBuilder(m Matrix, y []int, order [][]int32, cfg Config) *builder {
+	n := m.N
+	flat := make([]int32, len(order)*n)
+	lists := make([][]int32, len(order))
+	for f := range lists {
+		lists[f] = flat[f*n : (f+1)*n]
+	}
 	return &builder{
-		m: m, y: y, cfg: cfg,
-		lc: make([]int, cfg.NumClasses),
-		tc: make([]int, cfg.NumClasses),
+		m: m, y: y, order: order, cfg: cfg,
+		mult:  make([]int32, n),
+		lists: lists,
+		left:  make([]bool, n),
+		spill: make([]int32, n),
+		perm:  make([]int, len(m.Cols)),
+		lc:    make([]int, cfg.NumClasses),
+		tc:    make([]int, cfg.NumClasses),
 	}
 }
 
-// train grows one tree: bootstrap-sample the rows with rng, then build
-// the preorder node array. The returned tree owns its nodes.
+// train grows one tree: bootstrap-sample the rows with rng, expand the
+// sample along each feature's order, then build the preorder node array.
+// The returned tree owns its nodes.
 func (b *builder) train(cum []float64, rng *rand.Rand) (tree, []bool) {
 	n := b.m.N
 	bag := make([]bool, n)
-	if cap(b.boot) < n {
-		b.boot = make([]int, n)
-	}
-	idx := b.boot[:n]
-	for i := range idx {
+	clear(b.mult)
+	for i := 0; i < n; i++ {
 		var pick int
 		if cum != nil {
 			pick = searchCum(cum, rng.Float64()*cum[n-1])
 		} else {
 			pick = rng.Intn(n)
 		}
-		idx[i] = pick
+		b.mult[pick]++
 		bag[pick] = true
 	}
-	b.nodes = make([]FlatNode, 0, 64)
-	b.build(idx, rng, 0)
-	return tree{nodes: b.nodes}, bag
+	for f, ord := range b.order {
+		list, k := b.lists[f], 0
+		for _, r := range ord {
+			for c := b.mult[r]; c > 0; c-- {
+				list[k] = r
+				k++
+			}
+		}
+	}
+	b.nodes, b.probs = b.nodes[:0], b.probs[:0]
+	b.build(0, n, rng, 0)
+	// Copy out exact-size node and leaf-distribution arrays; leaves took
+	// their NumClasses blocks of probs in preorder.
+	nodes := slices.Clone(b.nodes)
+	probs := slices.Clone(b.probs)
+	k := b.cfg.NumClasses
+	for i := range nodes {
+		if nodes[i].Left < 0 {
+			nodes[i].Probs, probs = probs[:k:k], probs[k:]
+		}
+	}
+	return tree{nodes: nodes}, bag
 }
 
-// build appends the subtree over idx to b.nodes in preorder and returns
-// its root index. idx is partitioned in place down the recursion.
-func (b *builder) build(idx []int, rng *rand.Rand, depth int) int {
+// build appends the subtree over the rows in segment [lo,hi) to b.nodes
+// in preorder and returns its root index. The lists are partitioned in
+// place down the recursion.
+func (b *builder) build(lo, hi int, rng *rand.Rand, depth int) int {
 	at := len(b.nodes)
-	if depth >= b.cfg.MaxDepth || len(idx) <= b.cfg.MinLeaf || b.pure(idx) {
-		b.nodes = append(b.nodes, b.leaf(idx))
+	clear(b.tc)
+	for _, r := range b.lists[0][lo:hi] {
+		b.tc[b.y[r]]++
+	}
+	if depth >= b.cfg.MaxDepth || hi-lo <= b.cfg.MinLeaf || b.pure() {
+		b.leaf(hi - lo)
 		return at
 	}
-	feat, thr, ok := b.bestSplit(idx, rng)
+	feat, thr, ok := b.bestSplit(lo, hi, rng)
 	if !ok {
-		b.nodes = append(b.nodes, b.leaf(idx))
+		b.leaf(hi - lo)
 		return at
 	}
-	li, ri := b.partition(idx, feat, thr)
-	if len(li) == 0 || len(ri) == 0 {
-		b.nodes = append(b.nodes, b.leaf(idx))
+	mid := b.partition(lo, hi, feat, thr)
+	if mid == lo || mid == hi {
+		b.leaf(hi - lo)
 		return at
 	}
-	b.nodes = append(b.nodes, FlatNode{Left: -1, Right: -1})
-	l := b.build(li, rng, depth+1)
-	r := b.build(ri, rng, depth+1)
+	b.nodes = append(b.nodes, FlatNode{})
+	l := b.build(lo, mid, rng, depth+1)
+	r := b.build(mid, hi, rng, depth+1)
 	nd := &b.nodes[at]
 	nd.Feature, nd.Threshold, nd.Left, nd.Right = feat, thr, l, r
 	return at
 }
 
-func (b *builder) pure(idx []int) bool {
-	if len(idx) == 0 {
-		return true
-	}
-	first := b.y[idx[0]]
-	for _, i := range idx[1:] {
-		if b.y[i] != first {
-			return false
+// pure reports whether the node holds a single class.
+func (b *builder) pure() bool {
+	seen := 0
+	for _, c := range b.tc {
+		if c > 0 {
+			seen++
 		}
 	}
-	return true
+	return seen <= 1
 }
 
-func (b *builder) leaf(idx []int) FlatNode {
-	probs := make([]float64, b.cfg.NumClasses)
-	if len(idx) == 0 {
-		for c := range probs {
-			probs[c] = 1 / float64(b.cfg.NumClasses)
-		}
-		return FlatNode{Left: -1, Right: -1, Probs: probs}
+// leaf appends a leaf over the node's k rows; its class distribution
+// goes to b.probs until train copies it out.
+func (b *builder) leaf(k int) {
+	for _, c := range b.tc {
+		b.probs = append(b.probs, float64(c)/float64(k))
 	}
-	for _, i := range idx {
-		probs[b.y[i]]++
-	}
-	for c := range probs {
-		probs[c] /= float64(len(idx))
-	}
-	return FlatNode{Left: -1, Right: -1, Probs: probs}
+	b.nodes = append(b.nodes, FlatNode{Left: -1, Right: -1})
 }
 
-// partition splits idx in place into (<= thr, > thr) halves, preserving
-// relative order on both sides (a stable partition keeps the build
-// deterministic and independent of the spill buffer's capacity).
-func (b *builder) partition(idx []int, feat int, thr float64) (li, ri []int) {
+// partition sends every row of segment [lo,hi) to the (<= thr, > thr)
+// side of the split and returns the boundary. Each feature's segment is
+// stably partitioned, so both halves stay sorted by that feature.
+//
+//cabd:hotpath
+func (b *builder) partition(lo, hi, feat int, thr float64) int {
 	col := b.m.Cols[feat]
-	spill := b.part[:0]
-	k := 0
-	for _, i := range idx {
-		if col[i] <= thr {
-			idx[k] = i
-			k++
-		} else {
-			spill = append(spill, i)
+	mid := lo
+	for _, r := range b.lists[feat][lo:hi] {
+		b.left[r] = col[r] <= thr
+		if b.left[r] {
+			mid++
 		}
 	}
-	copy(idx[k:], spill)
-	b.part = spill[:0]
-	return idx[:k], idx[k:]
+	if mid == lo || mid == hi {
+		return mid
+	}
+	for f, list := range b.lists {
+		if f == feat {
+			continue // sorted by the split feature: already left | right
+		}
+		seg, k, s := list[lo:hi], 0, 0
+		for _, r := range seg {
+			if b.left[r] {
+				seg[k] = r
+				k++
+			} else {
+				b.spill[s] = r
+				s++
+			}
+		}
+		copy(seg[k:], b.spill[:s])
+	}
+	return mid
 }
 
 // bestSplit searches cfg.MTry random features for the Gini-optimal
-// threshold. Per feature it sorts the node's (value, class) pairs once
-// and sweeps the class counts across the boundaries between distinct
-// values — O(k log k) per feature instead of the naive O(k^2) recount —
-// computing the exact same Gini (integer counts, identical float
-// expressions) and therefore selecting the exact same split as the
-// quadratic scan it replaces.
-func (b *builder) bestSplit(idx []int, rng *rand.Rand) (int, float64, bool) {
-	d := len(b.m.Cols)
-	feats := rng.Perm(d)[:b.cfg.MTry]
+// threshold over segment [lo,hi), whose class counts are in b.tc. Each
+// feature's segment is already sorted, so the search is one O(k) sweep
+// of the class counts across the boundaries between distinct values.
+// The Gini at such a boundary depends only on the counts at or below
+// it, never on the order among tied values, and the thresholds are
+// midpoints of the same adjacent distinct values, so the sweep selects
+// exactly the split a per-node sort would.
+//
+//cabd:hotpath
+func (b *builder) bestSplit(lo, hi int, rng *rand.Rand) (int, float64, bool) {
+	// rng.Perm(d)[:MTry] into scratch: the same Intn(i+1) draws.
+	perm := b.perm
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	k := hi - lo
 	bestGini := math.Inf(1)
 	bestFeat, bestThr, found := 0, 0.0, false
-	for c := range b.tc {
-		b.tc[c] = 0
-	}
-	for _, i := range idx {
-		b.tc[b.y[i]]++
-	}
-	if cap(b.pairs) < len(idx) {
-		b.pairs = make([]splitPair, len(idx))
-	}
-	pairs := b.pairs[:len(idx)]
-	for _, feat := range feats {
+	for _, feat := range perm[:b.cfg.MTry] {
 		col := b.m.Cols[feat]
-		for p, i := range idx {
-			pairs[p] = splitPair{v: col[i], y: int32(b.y[i])}
-		}
-		sort.Slice(pairs, func(a, c int) bool { return pairs[a].v < pairs[c].v })
-		for c := range b.lc {
-			b.lc[c] = 0
-		}
+		seg := b.lists[feat][lo:hi]
+		clear(b.lc)
 		ln := 0
-		for v := 1; v < len(pairs); v++ {
-			b.lc[pairs[v-1].y]++
+		for v := 1; v < k; v++ {
+			prev, cur := col[seg[v-1]], col[seg[v]]
+			b.lc[b.y[seg[v-1]]]++
 			ln++
 			//cabd:lint-ignore floateq adjacent sorted feature values: only bit-identical ones admit no threshold between them
-			if pairs[v].v == pairs[v-1].v {
+			if cur == prev {
 				continue
 			}
-			thr := (pairs[v].v + pairs[v-1].v) / 2
-			g := weightedGini(b.lc, ln) + weightedGiniRest(b.tc, b.lc, len(pairs)-ln)
+			thr := (cur + prev) / 2
+			g := weightedGini(b.lc, ln) + weightedGiniRest(b.tc, b.lc, k-ln)
 			if g < bestGini {
 				bestGini, bestFeat, bestThr, found = g, feat, thr, true
 			}

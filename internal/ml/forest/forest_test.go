@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,12 +146,60 @@ func TestConstantFeatures(t *testing.T) {
 	}
 }
 
+// benchSink keeps benchmark results observable to the compiler.
+var benchSink []float64
+
+// cabdShaped builds a training set shaped like one CABD classify call:
+// n candidates, 4 feature columns, 3 classes dominated by the "normal"
+// class, and the detector's square-root class-balancing weights.
+func cabdShaped(n int) (Matrix, []int, []float64) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	y := make([]int, n)
+	var counts [3]float64
+	for i := range y {
+		switch r := rng.Float64(); {
+		case r < 0.7:
+			y[i] = 0
+		case r < 0.9:
+			y[i] = 1
+		default:
+			y[i] = 2
+		}
+		counts[y[i]]++
+	}
+	cols := make([][]float64, 4)
+	for f := range cols {
+		cols[f] = make([]float64, n)
+		for i := range cols[f] {
+			cols[f][i] = float64(y[i])*0.8 + rng.NormFloat64()
+		}
+	}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = math.Sqrt(float64(n) / (3 * counts[y[i]]))
+	}
+	return Matrix{Cols: cols, N: n}, y, w
+}
+
+// BenchmarkTrain times one CABD classify round — training 100 trees
+// (MinLeaf 3, sqrt-balanced weights) plus the out-of-bag batch pass —
+// at the candidate counts of the repository benchmark's workloads.
+// Workers 1 keeps the figure a measure of the trainer, not of the
+// scheduler.
 func BenchmarkTrain(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	X, y := xorData(rng, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Train(X, y, Config{Trees: 50, NumClasses: 2}, rand.New(rand.NewSource(2)))
+	for _, n := range []int{43, 80, 160, 416} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m, y, w := cabdShaped(n)
+			cfg := Config{Trees: 100, MinLeaf: 3, NumClasses: 3, Workers: 1}
+			var oob []float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := TrainMatrixWeighted(m, y, w, cfg, rand.New(rand.NewSource(2)))
+				oob = f.PredictProbaOOBBatch(m, oob)
+			}
+			benchSink = oob
+		})
 	}
 }
 
