@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-bench test race check cover fuzz bench bench-guard serve-smoke agent-smoke stream-smoke scenario-smoke
+.PHONY: all build vet lint lint-bench test race check cover fuzz bench bench-guard serve-smoke agent-smoke stream-smoke scenario-smoke loc
 
 all: check
 
@@ -30,6 +30,11 @@ lint-bench:
 	$(GO) run ./cmd/cabd-lint ./... || exit $$?; \
 	end=$$(date +%s%N); \
 	printf 'lint-bench: full-tree cabd-lint took %d ms\n' $$(( (end - start) / 1000000 ))
+
+# Line ledger: non-test and test Go line counts (perfbench/ and testdata/
+# excluded), so a change's net code growth or shrinkage is one command.
+loc:
+	./scripts/loc.sh
 
 # Race-enabled run of the full suite, including the fault-injection
 # harness (internal/faultgen) — the robustness gate.

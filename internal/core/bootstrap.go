@@ -69,7 +69,7 @@ func ClusterScores(cands []Candidate, opts Options, rng *rand.Rand) (assign []in
 	}
 	feats := make([][]float64, len(cands))
 	for i := range cands {
-		feats[i] = cands[i].features(opts.defaults())
+		feats[i] = cands[i].features(opts.defaults(), baseFeatures)
 	}
 	model := gmm.Fit(feats, gmm.Config{K: 4, Restarts: 2}, rng)
 	if model == nil {

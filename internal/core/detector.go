@@ -58,37 +58,41 @@ func (d *Detector) DetectActive(s *series.Series, o Labeler) *Result {
 // round) and a cancelled or expired context returns ctx.Err() promptly.
 // A context deadline also arms graceful degradation — see Result.Degraded.
 func (d *Detector) DetectCtx(ctx context.Context, s *series.Series) (*Result, error) {
-	return d.run(ctx, s, nil, nil)
+	return d.DetectChannelsCtx(ctx, [][]float64{s.Values}, nil, nil)
 }
 
 // DetectActiveCtx is DetectActive with cancellation; the context is
 // additionally checked between active-learning rounds, so a slow human
 // labeler cannot wedge a cancelled run.
 func (d *Detector) DetectActiveCtx(ctx context.Context, s *series.Series, o Labeler) (*Result, error) {
-	return d.run(ctx, s, o, nil)
+	return d.DetectChannelsCtx(ctx, [][]float64{s.Values}, o, nil)
 }
 
 // Env supplies externally maintained pipeline substrates. The batch path
 // rebuilds every stage from scratch per series; a streaming caller that
 // maintains the same state incrementally across window slides plugs its
-// rolling structures in here, and the orchestration, scoring and
-// classification code is shared verbatim — the two paths cannot drift
-// apart, because they are the same code fed by different substrates.
+// rolling structures in here, and the multivariate extension plugs in its
+// per-channel candidate union and joint embedding. The orchestration,
+// scoring and classification code is shared verbatim — the paths cannot
+// drift apart, because they are the same code fed by different
+// substrates.
 //
-// Every hook is optional (nil falls back to the batch computation), but a
-// hook that is supplied must answer exactly as the batch stage would for
-// the same series: Candidates like candidateIndices on the raw values,
-// Computer like inn.FromSeries over the standardized embedding, Frequency
-// like sax.Frequency over the sliding word corpus of the raw values.
+// Every hook is optional (nil falls back to the batch computation, which
+// reads channel 0), but a hook that is supplied must answer exactly as
+// the batch stage would for the same series: Candidates like
+// candidateIndices on the raw values, Computer like inn.FromSeries over
+// the standardized embedding, Frequency like sax.Frequency over the
+// sliding word corpus of the raw values.
 type Env struct {
-	// Candidates returns the candidate indices and their robust z-scores
-	// (what candidateIndices computes from the raw series).
-	Candidates func() (idx []int, zscores []float64)
-	// Computer answers INN rank probes over the standardized 2-D
-	// embedding of the current window.
+	// Candidates returns the candidates with Index, SecondDiffZ and
+	// Channel set, in index order.
+	Candidates func() []Candidate
+	// Computer answers INN rank probes over the standardized embedding
+	// of the current window.
 	Computer *inn.Computer
-	// Frequency returns the fraction of length-wlen windows whose SAX
-	// word equals word (what sax.Frequency over SlidingWords computes).
+	// Frequency returns the fraction of length-wlen windows of channel 0
+	// whose SAX word equals word (what sax.Frequency over SlidingWords
+	// computes).
 	Frequency func(wlen int, word string) float64
 }
 
@@ -97,44 +101,45 @@ type Env struct {
 // env instead of being recomputed from the series. The streaming engine
 // (internal/stream/incremental) is the intended caller.
 func (d *Detector) DetectEnvCtx(ctx context.Context, s *series.Series, env *Env) (*Result, error) {
-	return d.run(ctx, s, nil, env)
+	return d.DetectChannelsCtx(ctx, [][]float64{s.Values}, nil, env)
 }
 
-func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *Env) (*Result, error) {
+// DetectChannelsCtx runs the pipeline over d equal-length channels, with
+// the active-learning loop when o is non-nil and the substrates of env
+// (nil for none). Every other entry point is its d = 1 case. With two or
+// more channels the scores read every channel — total variance, the
+// cross-channel decorrelation column — and env must supply the
+// candidates and the joint-embedding Computer, as internal/multi does.
+func (d *Detector) DetectChannelsCtx(ctx context.Context, chans [][]float64, o Labeler, env *Env) (*Result, error) {
 	t := d.opts.Obs.NewTrace()
 	res := &Result{Strategy: d.opts.Strategy}
-	n := s.Len()
-	if n < 4 {
+	if len(chans) == 0 || len(chans[0]) < 4 {
 		return res, nil
 	}
+	n := len(chans[0])
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Standardization (Equation 2) feeds exactly one consumer: the 2-D
-	// embedding the INN distances are measured in. Candidate estimation,
-	// SAX words and the variance ratio are affine-invariant, so they run
-	// on the raw values — which is what lets a streaming caller maintain
-	// them incrementally across window slides (see Env).
-	zs := &series.Series{Name: s.Name, Values: stats.Standardize(s.Values)}
+	if env == nil {
+		env = &Env{}
+	}
 
 	// Step 1: candidate estimation.
-	var idx []int
-	var zscores []float64
+	var cands []Candidate
 	t.Do(obs.StageCandidates, func() {
-		if env != nil && env.Candidates != nil {
-			idx, zscores = env.Candidates()
-		} else {
-			idx, zscores = candidateIndices(s, d.opts.CandidateZ)
+		if env.Candidates != nil {
+			cands = env.Candidates()
+			return
+		}
+		idx, zscores := candidateIndices(&series.Series{Values: chans[0]}, d.opts.CandidateZ)
+		cands = make([]Candidate, len(idx))
+		for i, ci := range idx {
+			cands[i] = Candidate{Index: ci, SecondDiffZ: zscores[i]}
 		}
 	})
-	if len(idx) == 0 {
+	if len(cands) == 0 {
 		res.Stages = t.Timings()
 		return res, nil
-	}
-	cands := make([]Candidate, len(idx))
-	for i, ci := range idx {
-		cands[i] = Candidate{Index: ci, SecondDiffZ: zscores[i]}
 	}
 	t.Add(obs.CounterCandidates, int64(len(cands)))
 	if err := ctx.Err(); err != nil {
@@ -153,16 +158,18 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *En
 
 	// Step 2: score computation (parallel, Algorithm 3). The scorer may
 	// degrade further when the context deadline leaves no headroom.
-	comp := (*inn.Computer)(nil)
-	if env != nil && env.Computer != nil {
-		comp = env.Computer
-	} else {
-		comp = inn.FromSeries(zs)
+	comp := env.Computer
+	if comp == nil {
+		// Standardization (Equation 2) feeds exactly one consumer: the
+		// 2-D embedding the INN distances are measured in. Candidate
+		// estimation, SAX words and the variance ratio are
+		// affine-invariant, so they run on the raw values — which is
+		// what lets a streaming caller maintain them incrementally
+		// across window slides (see Env).
+		comp = inn.FromSeries(&series.Series{Values: stats.Standardize(chans[0])})
 	}
-	sc := newScorer(s.Values, comp, opts)
-	if env != nil && env.Frequency != nil {
-		sc.freq = env.Frequency
-	}
+	sc := newScorer(chans, comp, opts)
+	sc.freq = env.Frequency
 	// The scorer's SoA feature matrix comes from a pool; hand it back
 	// once evaluation no longer reads the columns.
 	defer func() { putFeatMatrix(sc.feats) }()
@@ -182,8 +189,7 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *En
 		degradeReason = "context deadline headroom too small for INN scoring"
 	}
 
-	res, err := d.evaluateCtx(ctx, cands, n, o, t, sc.feats)
-	if err != nil {
+	if err := d.evaluate(ctx, res, cands, n, o, t, sc.feats.matrix()); err != nil {
 		return nil, err
 	}
 	res.Strategy = sc.resolved
@@ -196,52 +202,17 @@ func (d *Detector) run(ctx context.Context, s *series.Series, o Labeler, env *En
 	return res, nil
 }
 
-// EvaluateCandidates runs the Score Evaluation and CAL stages (Algorithm
-// 2 lines 4-5, Algorithm 4) over pre-scored candidates and assembles the
-// detections: hypothesis bootstrap, probabilistic classification, and —
-// when a labeler is supplied — the uncertainty-sampling loop until every
-// confidence weight clears γ or the query budget runs out. n is the
-// series length (for magnitude-rule bookkeeping and index bounds).
-// Exposed so the multivariate extension can feed candidates built from
-// its own embedding through the identical evaluation machinery.
-func (d *Detector) EvaluateCandidates(cands []Candidate, n int, o Labeler) *Result {
-	res, _ := d.EvaluateCandidatesCtx(context.Background(), cands, n, o)
-	return res
-}
-
-// EvaluateCandidatesCtx is EvaluateCandidates with cancellation checks
-// before every random-forest training pass — the expensive inner step —
-// and between active-learning rounds.
-func (d *Detector) EvaluateCandidatesCtx(ctx context.Context, cands []Candidate, n int, o Labeler) (*Result, error) {
-	t := d.opts.Obs.NewTrace()
-	res, err := d.evaluateCtx(ctx, cands, n, o, t, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Stages = t.Timings()
-	return res, nil
-}
-
-// evaluateCtx is the trace-carrying core of EvaluateCandidatesCtx; run()
-// passes its own trace so the per-run StageTimings cover the whole
-// pipeline, while the exported entry point opens a fresh one. fm is the
-// SoA feature matrix the scoring workers filled; a nil fm (candidates
-// scored elsewhere, e.g. the multivariate extension) is assembled here
-// from the candidates' score fields.
-func (d *Detector) evaluateCtx(ctx context.Context, cands []Candidate, n int, o Labeler, t *obs.Trace, fm *featMatrix) (*Result, error) {
-	res := &Result{Strategy: d.opts.Strategy}
-	if len(cands) == 0 {
-		return res, nil
-	}
+// evaluate runs the Score Evaluation and CAL stages (Algorithm 2 lines
+// 4-5, Algorithm 4) over the scored candidates and their feature matrix
+// m, filling res: hypothesis bootstrap, probabilistic classification,
+// and — when a labeler is supplied — the uncertainty-sampling loop until
+// every confidence weight clears γ or the query budget runs out. n is the
+// series length (for the query budget and index bounds). ctx is checked
+// before every training pass and between active-learning rounds.
+func (d *Detector) evaluate(ctx context.Context, res *Result, cands []Candidate, n int, o Labeler, t *obs.Trace, m forest.Matrix) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if fm == nil {
-		fm = getFeatMatrix(len(cands), featWidth(&d.opts))
-		fm.fillFromCandidates(cands, &d.opts)
-		defer putFeatMatrix(fm)
-	}
-	m := fm.matrix()
 	scr := &clsScratch{}
 	rng := rand.New(rand.NewSource(d.opts.Seed))
 
@@ -279,7 +250,7 @@ func (d *Detector) evaluateCtx(ctx context.Context, cands []Candidate, n int, o 
 		agreeStreak := 0
 		for queries < budget {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			pos := mostUncertain(cands)
 			if pos < 0 {
@@ -317,7 +288,7 @@ func (d *Detector) evaluateCtx(ctx context.Context, cands []Candidate, n int, o 
 	t.Do(obs.StageAssemble, func() {
 		d.assemble(res, n)
 	})
-	return res, nil
+	return nil
 }
 
 // clsScratch carries the classification buffers of one evaluation run.
@@ -384,7 +355,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 		NumClasses: NumClasses,
 	}
 	if d.opts.SeqOracle {
-		return d.classifySeq(cands, y, w, cfg, trueLabels, rng, scr)
+		return d.classifySeq(cands, len(m.Cols), y, w, cfg, trueLabels, rng, scr)
 	}
 	fr := forest.TrainMatrixWeighted(m, y, w, cfg, rng)
 	if fr == nil {
@@ -421,7 +392,7 @@ func (d *Detector) classify(m forest.Matrix, cands []Candidate, pseudo []Class, 
 // training, and per-row inference. Kept verbatim so the determinism
 // suite and the scale benchmark can prove the optimized path emits
 // bit-identical detections.
-func (d *Detector) classifySeq(cands []Candidate, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
+func (d *Detector) classifySeq(cands []Candidate, width int, y []int, w []float64, cfg forest.Config, trueLabels map[int]Class, rng *rand.Rand, scr *clsScratch) *forest.Forest {
 	n := len(cands)
 	cfg.Workers = 1
 	if len(scr.X) < n {
@@ -429,7 +400,7 @@ func (d *Detector) classifySeq(cands []Candidate, y []int, w []float64, cfg fore
 	}
 	X := scr.X[:n]
 	for i := range cands {
-		X[i] = cands[i].features(d.opts)
+		X[i] = cands[i].features(d.opts, width)
 	}
 	fr := forest.TrainWeighted(X, y, w, cfg, rng)
 	for i := range cands {

@@ -96,9 +96,11 @@ func TestFeatureMatrixFinite(t *testing.T) {
 
 func checkFinite(t *testing.T, det *Detector, res *Result) {
 	t.Helper()
-	fm := getFeatMatrix(len(res.Candidates), featWidth(&det.opts))
+	fm := getFeatMatrix(len(res.Candidates), featWidth(1))
 	defer putFeatMatrix(fm)
-	fm.fillFromCandidates(res.Candidates, &det.opts)
+	for i := range res.Candidates {
+		fm.fill(i, &res.Candidates[i], &det.opts)
+	}
 	for f, col := range fm.matrix().Cols {
 		for i, v := range col {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

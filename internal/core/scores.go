@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -13,17 +14,20 @@ import (
 )
 
 // scorer computes the score metric β (Algorithm 3) for candidates of one
-// series. It works on the raw values: every score it computes — SAX words
-// (standardized per window), the variance ratio, the INN-derived sizes —
-// is invariant under the affine standardization of Equation 2, so only
-// the Computer (which measures distances in the standardized embedding)
-// ever sees standardized data.
+// series of d equal-length channels. A univariate series is scored on its
+// raw values: every score — SAX words (standardized per window), the
+// variance ratio, the INN-derived sizes — is invariant under the affine
+// standardization of Equation 2, so only the Computer (which measures
+// distances in the standardized embedding) sees standardized data. The
+// multivariate extension passes its standardized channels, so that the
+// total variance and the cross-channel correlation weigh every channel
+// alike.
 type scorer struct {
 	opts     Options
-	values   []float64 // raw values
+	chans    [][]float64 // the d channels, index-aligned
 	comp     *inn.Computer
-	tlim     int              // pruned search range
-	corpus   map[int][]string // sliding SAX words keyed by window length
+	tlim     int                    // pruned search range
+	corpus   map[corpusKey][]string // sliding SAX words per channel and window length
 	corpusMu sync.Mutex
 
 	// resolved is the neighborhood strategy scoring actually ran with.
@@ -55,16 +59,20 @@ type scorer struct {
 	forceDegrade bool
 }
 
-func newScorer(values []float64, comp *inn.Computer, opts Options) *scorer {
+// corpusKey addresses the sliding-word cache: a corpus belongs to one
+// channel at one window length.
+type corpusKey struct{ ch, wlen int }
+
+func newScorer(chans [][]float64, comp *inn.Computer, opts Options) *scorer {
 	return &scorer{
 		opts: opts,
 		// Candidates in one series grow overlapping neighborhoods, and a
 		// pair's reverse probe is a later candidate's forward probe, so
 		// all scoreAll workers share one bounded rank memo.
 		comp:     comp.WithRankMemo(0),
-		values:   values,
+		chans:    chans,
 		tlim:     comp.RangeLimit(opts.RangeFrac),
-		corpus:   make(map[int][]string),
+		corpus:   make(map[corpusKey][]string),
 		clk:      opts.Obs.Clock(),
 		resolved: opts.Strategy,
 	}
@@ -109,14 +117,15 @@ func hull(i int, nb []int) (lo, hi int) {
 }
 
 // score fills in the three INN scores of candidate c (Definitions 5, 8,
-// 9; see DESIGN.md for the interpretation notes). It runs once per
+// 9; see DESIGN.md for the interpretation notes), plus the cross-channel
+// decorrelation when there are two or more channels. It runs once per
 // candidate inside the scoreAll worker pool and must not allocate: the
-// variance score views the pattern's flanks through stats.Std2 instead
-// of materializing the cut window.
+// variance score views the pattern's flanks through stats.Variance2
+// instead of materializing the cut window.
 //
 //cabd:hotpath
 func (sc *scorer) score(c *Candidate, strategy Strategy) {
-	n := len(sc.values)
+	n := len(sc.chans[0])
 	c.INN = sc.neighborhood(c.Index, strategy)
 	ss := len(c.INN)
 
@@ -131,11 +140,12 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	}
 
 	// Correlation score (Definition 8): frequency of the pattern's SAX
-	// word among all same-length windows of the series. The window is
-	// centered on the candidate with a half-width tied to the pattern
-	// size (clamped to [3, 12]): centering guarantees the word captures
-	// the local shape transition — spike, group boundary or level shift
-	// — rather than only the flat interior of a large one-sided hull.
+	// word among all same-length windows of the candidate's channel. The
+	// window is centered on the candidate with a half-width tied to the
+	// pattern size (clamped to [3, 12]): centering guarantees the word
+	// captures the local shape transition — spike, group boundary or
+	// level shift — rather than only the flat interior of a large
+	// one-sided hull.
 	hw := ss
 	if hw < 3 {
 		hw = 3
@@ -152,11 +162,11 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	}
 	wlen := whi - wlo
 	if wlen >= 2 && wlen <= n/2 {
-		word := sax.Word(sc.values[wlo:whi], sc.opts.SAXSegments, sc.opts.SAXAlphabet)
+		word := sax.Word(sc.chans[c.Channel][wlo:whi], sc.opts.SAXSegments, sc.opts.SAXAlphabet)
 		if sc.freq != nil {
 			c.Correlation = sc.freq(wlen, word)
 		} else {
-			c.Correlation = sax.Frequency(sc.corpusFor(wlen), word)
+			c.Correlation = sax.Frequency(sc.corpusFor(c.Channel, wlen), word)
 		}
 	} else {
 		// Degenerate or series-scale windows occur everywhere.
@@ -166,7 +176,9 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	// Variance score (Definition 9, oriented as in hypothesis 3 and
 	// Fig. 3): the relative drop of the SPa standard deviation when the
 	// pattern is removed. SPa is the pattern extended by max(SS, 3)
-	// adjacent points on each side.
+	// adjacent points on each side. Over d channels the deviation is the
+	// total one, sqrt(Σ_k Var_k / d); for d = 1 that is the plain
+	// deviation bit for bit (x/1 is exact).
 	pad := ss
 	if pad < 3 {
 		pad = 3
@@ -178,38 +190,92 @@ func (sc *scorer) score(c *Candidate, strategy Strategy) {
 	if shi > n {
 		shi = n
 	}
-	spa := sc.values[slo:shi]
-	left, right := sc.values[slo:lo], sc.values[hi+1:shi]
-	sdAll := stats.Std(spa)
-	if sdAll == 0 || len(left)+len(right) < 2 {
+	var all, rest float64
+	for _, v := range sc.chans {
+		all += stats.Variance(v[slo:shi])
+		rest += stats.Variance2(v[slo:lo], v[hi+1:shi])
+	}
+	d := float64(len(sc.chans))
+	sdAll := math.Sqrt(all / d)
+	if sdAll == 0 || (lo-slo)+(shi-hi-1) < 2 {
 		c.Variance = 0
-		return
+	} else {
+		vs := 1 - math.Sqrt(rest/d)/sdAll
+		// The clamp lets a NaN through (both comparisons are false).
+		// None arises from sanitized input — finite values bounded by
+		// sanitize.DefaultMaxAbs keep both deviations finite, and sdAll
+		// is nonzero here — and the forest requires NaN-free features.
+		if vs < 0 {
+			vs = 0
+		}
+		if vs > 1 {
+			vs = 1
+		}
+		c.Variance = vs
 	}
-	vs := 1 - stats.Std2(left, right)/sdAll
-	// The clamp lets a NaN through (both comparisons are false). None
-	// arises from sanitized input — finite values bounded by
-	// sanitize.DefaultMaxAbs keep both deviations finite, and sdAll is
-	// nonzero here — and the forest requires NaN-free features.
-	if vs < 0 {
-		vs = 0
+
+	if len(sc.chans) >= 2 {
+		c.XCorr = sc.xcorr(c.Index, ss)
 	}
-	if vs > 1 {
-		vs = 1
-	}
-	c.Variance = vs
 }
 
-// corpusFor returns the sliding SAX words of the whole series at window
-// length w, cached per length. Candidates in the same series often share
-// pattern sizes, so the cache hit rate is high.
-func (sc *scorer) corpusFor(w int) []string {
+// xcorr is the cross-channel decorrelation score at index: over a window
+// sized by the neighborhood (half-width clamped to [8, 32]), (1 - mean
+// pairwise channel correlation)/2 in [0, 1]. Broken co-movement — one
+// channel deviating from an otherwise correlated group — scores high.
+func (sc *scorer) xcorr(index, ss int) float64 {
+	n := len(sc.chans[0])
+	hw := ss
+	if hw < 8 {
+		hw = 8
+	}
+	if hw > 32 {
+		hw = 32
+	}
+	lo, hi := index-hw, index+hw+1
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > n {
+		hi = n
+	}
+	if hi-lo < 4 {
+		return 0
+	}
+	var sum float64
+	var pairs int
+	for a := 0; a < len(sc.chans); a++ {
+		for b := a + 1; b < len(sc.chans); b++ {
+			r := stats.Correlation(sc.chans[a][lo:hi], sc.chans[b][lo:hi])
+			if math.IsNaN(r) {
+				r = 0 // a constant window has no co-movement signal
+			}
+			sum += r
+			pairs++
+		}
+	}
+	x := (1 - sum/float64(pairs)) / 2
+	if x < 0 {
+		x = 0
+	}
+	if x > 1 {
+		x = 1
+	}
+	return x
+}
+
+// corpusFor returns the sliding SAX words of channel ch at window length
+// w, cached per (channel, length). Candidates in the same series often
+// share pattern sizes, so the cache hit rate is high.
+func (sc *scorer) corpusFor(ch, w int) []string {
+	key := corpusKey{ch, w}
 	sc.corpusMu.Lock()
 	defer sc.corpusMu.Unlock()
-	if words, ok := sc.corpus[w]; ok {
+	if words, ok := sc.corpus[key]; ok {
 		return words
 	}
-	words := sax.SlidingWords(sc.values, w, sc.opts.SAXSegments, sc.opts.SAXAlphabet)
-	sc.corpus[w] = words
+	words := sax.SlidingWords(sc.chans[ch], w, sc.opts.SAXSegments, sc.opts.SAXAlphabet)
+	sc.corpus[key] = words
 	return words
 }
 
@@ -228,7 +294,7 @@ func (sc *scorer) scoreAll(ctx context.Context, cands []Candidate) (degraded boo
 	if len(cands) == 0 {
 		return false, nil
 	}
-	sc.feats = getFeatMatrix(len(cands), featWidth(&sc.opts))
+	sc.feats = getFeatMatrix(len(cands), featWidth(len(sc.chans)))
 	workers := runtime.GOMAXPROCS(0)
 	if sc.opts.SeqOracle {
 		workers = 1

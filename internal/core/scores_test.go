@@ -22,7 +22,7 @@ func scoreSeries(vals []float64, opts Options) []Candidate {
 	for i, ci := range idx {
 		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
 	}
-	sc := newScorer(std, inn.FromSeries(zs), opts)
+	sc := newScorer([][]float64{std}, inn.FromSeries(zs), opts)
 	sc.scoreAll(context.Background(), cands)
 	return cands
 }
@@ -136,11 +136,11 @@ func TestScoresBounded(t *testing.T) {
 
 func TestAblationZeroesFeatures(t *testing.T) {
 	c := Candidate{Magnitude: 0.3, Correlation: 0.4, Variance: 0.5, Asymmetry: 0.6}
-	f := c.features(Options{DisableMagnitude: true, DisableVariance: true})
+	f := c.features(Options{DisableMagnitude: true, DisableVariance: true}, baseFeatures)
 	if f[0] != 0 || f[1] != 0.4 || f[2] != 0 || f[3] != 0.6 {
 		t.Errorf("ablated features = %v", f)
 	}
-	full := c.features(Options{})
+	full := c.features(Options{}, baseFeatures)
 	if full[0] != 0.3 || full[1] != 0.4 || full[2] != 0.5 || full[3] != 0.6 {
 		t.Errorf("full features = %v", full)
 	}
@@ -173,7 +173,7 @@ func TestDegradedPilotRescored(t *testing.T) {
 		cands[i] = Candidate{Index: ci, SecondDiffZ: zsc[i]}
 	}
 	comp := inn.FromSeries(zs)
-	sc := newScorer(std, comp, opts)
+	sc := newScorer([][]float64{std}, comp, opts)
 	sc.forceDegrade = true
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()

@@ -52,6 +52,10 @@ func classOfLabel(l series.Label) Class {
 type Candidate struct {
 	Index int   // position in the series
 	INN   []int // neighborhood member indices (sorted, excluding Index)
+	// Channel is the channel whose second difference flagged the
+	// candidate (always 0 for a univariate series); its values supply
+	// the correlation score's SAX word.
+	Channel int
 	// LeftExtent / RightExtent are the per-side spans of the INN hull
 	// around Index. A change point's neighborhood grows into the new
 	// segment only, so one extent is near zero — the bootstrap rules
@@ -76,8 +80,7 @@ type Candidate struct {
 	// extension: (1 - mean pairwise channel correlation over the local
 	// window)/2, in [0,1]. A fault in one channel of a correlated group
 	// breaks the local co-movement, so high XCorr is anomaly evidence.
-	// Zero (and excluded from the feature vector) unless
-	// Options.XChannelCorr is set.
+	// Zero (and excluded from the feature vector) for a single channel.
 	XCorr float64
 
 	// SecondDiffZ is the robust z-score of the candidate's absolute
@@ -91,11 +94,12 @@ type Candidate struct {
 	Queried    bool    // answered by the oracle during active learning
 }
 
-// Features returns the classifier feature vector under the ablation
-// switches of opts. The asymmetry feature always rides along; the Fig. 13
-// ablation toggles only the paper's three scores.
-func (c *Candidate) features(o Options) []float64 {
-	f := make([]float64, featWidth(&o))
+// features returns the width-column classifier feature vector (see
+// featWidth) under the ablation switches of opts. The asymmetry feature
+// always rides along; the Fig. 13 ablation toggles only the paper's
+// three scores.
+func (c *Candidate) features(o Options, width int) []float64 {
+	f := make([]float64, width)
 	if !o.DisableMagnitude {
 		f[0] = c.Magnitude
 	}
@@ -106,7 +110,7 @@ func (c *Candidate) features(o Options) []float64 {
 		f[2] = c.Variance
 	}
 	f[3] = c.Asymmetry
-	if o.XChannelCorr {
+	if width > baseFeatures {
 		f[4] = c.XCorr
 	}
 	return f

@@ -98,9 +98,27 @@ func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 	return s.tree.KNNInto(s.pts[i], k, i, buf)
 }
 
-// Computer computes neighborhoods over an indexed set of 2-D points
-// (typically series.Points() of a standardized series). It is safe for
-// concurrent use after construction.
+// ndIndex is the multivariate Index: a KD-tree over d-dimensional
+// (standardized index, standardized channel values) rows.
+type ndIndex struct {
+	pts  [][]float64
+	tree *kdtree.ND
+}
+
+func (s *ndIndex) Len() int { return len(s.pts) }
+
+func (s *ndIndex) RankAtMost(i, j, limit int) int {
+	return s.tree.RankAtMost(s.pts[i], kdtree.DistN(s.pts[i], s.pts[j]), j, i, limit)
+}
+
+func (s *ndIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
+	return s.tree.KNNInto(s.pts[i], k, i, buf)
+}
+
+// Computer computes neighborhoods over an indexed point set (typically
+// series.Points() of a standardized series, or a multivariate joint
+// embedding via NewComputerND). It is safe for concurrent use after
+// construction.
 //
 // Membership probes ("is x_j among the k nearest neighbors of x_i?") are
 // answered by a rank query: one allocation-free index walk counting the
@@ -122,6 +140,13 @@ type Computer struct {
 // environment selects the naive k-NN-membership oracle instead.
 func NewComputer(pts [][2]float64) *Computer {
 	return NewComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
+}
+
+// NewComputerND indexes d-dimensional points (rows of equal length) — the
+// joint embedding of the multivariate extension. Neighborhood semantics
+// and the probe engine are those of NewComputer.
+func NewComputerND(pts [][]float64) *Computer {
+	return NewComputerOver(&ndIndex{pts: pts, tree: kdtree.NewND(pts)})
 }
 
 // NewComputerOver wraps a caller-supplied Index — the hook through which

@@ -8,15 +8,15 @@ import (
 	"cabd/internal/series"
 )
 
-// nFromSeries builds equivalent 1-D-value NComputer and Computer over the
-// same series for differential testing.
-func nFromSeries(s *series.Series) (*NComputer, *Computer) {
+// nFromSeries builds equivalent ND-indexed and 2-D-indexed Computers over
+// the same series for differential testing.
+func nFromSeries(s *series.Series) (*Computer, *Computer) {
 	pts2 := s.Points()
 	ptsN := make([][]float64, len(pts2))
 	for i, p := range pts2 {
 		ptsN[i] = []float64{p[0], p[1]}
 	}
-	return NewNComputer(ptsN), NewComputer(pts2)
+	return NewComputerND(ptsN), NewComputer(pts2)
 }
 
 func TestNComputerMatches2DComputer(t *testing.T) {
@@ -62,7 +62,7 @@ func TestNComputerHigherDimensions(t *testing.T) {
 		pts[i][2] += 12
 		pts[i][3] += 12
 	}
-	c := NewNComputer(pts)
+	c := NewComputerND(pts)
 	got := c.Binary(152, c.RangeLimit(0))
 	want := map[int]bool{150: true, 151: true, 153: true, 154: true, 155: true}
 	for _, j := range got {
@@ -76,11 +76,11 @@ func TestNComputerHigherDimensions(t *testing.T) {
 }
 
 func TestNComputerDegenerate(t *testing.T) {
-	empty := NewNComputer(nil)
+	empty := NewComputerND(nil)
 	if empty.Len() != 0 || empty.Minimal(0, 5) != nil {
-		t.Error("empty NComputer misbehaves")
+		t.Error("empty ND computer misbehaves")
 	}
-	one := NewNComputer([][]float64{{0, 0}})
+	one := NewComputerND([][]float64{{0, 0}})
 	if one.Binary(0, 3) != nil {
 		t.Error("singleton INN should be nil")
 	}

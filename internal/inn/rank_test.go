@@ -152,8 +152,8 @@ func TestRankMemoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNComputerEngineIdentical is the multivariate counterpart of the
-// engine-identity test.
+// TestNComputerEngineIdentical is the multivariate (ND index) counterpart
+// of the engine-identity test.
 func TestNComputerEngineIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n, dim := 120, 3
@@ -166,7 +166,7 @@ func TestNComputerEngineIdentical(t *testing.T) {
 		}
 		pts[i] = row
 	}
-	c := NewNComputer(pts)
+	c := NewComputerND(pts)
 	rank := c.WithLegacyProbes(false).WithRankMemo(0)
 	legacy := c.WithLegacyProbes(true)
 	tlim := c.RangeLimit(0)
@@ -194,7 +194,7 @@ func TestLegacyEnvGate(t *testing.T) {
 	if !c.InTopK(0, 1, 1) || c.InTopK(0, 3, 2) {
 		t.Fatal("legacy engine gives wrong answers")
 	}
-	nc := NewNComputer([][]float64{{0, 0}, {1, 0}})
+	nc := NewComputerND([][]float64{{0, 0}, {1, 0}})
 	if !nc.legacy {
 		t.Fatal("ND computer ignored the engine env")
 	}

@@ -39,7 +39,7 @@ func gen(seed int64, n, d int) *Series {
 		s.Labels[p] = series.SingleAnomaly
 	}
 	// A collective anomaly visible only in dimension 0.
-	for i := 3 * n / 4; i < 3*n/4+6; i++ {
+	for i := 3 * n / 4; i < 3*n/4+6 && i < n; i++ {
 		dims[0][i] += 12
 		s.Labels[i] = series.CollectiveAnomaly
 	}

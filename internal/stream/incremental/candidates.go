@@ -11,13 +11,15 @@ package incremental
 import (
 	"math"
 	"sort"
+
+	"cabd/internal/core"
 )
 
-// candidates returns the candidate window indices and their robust
-// z-scores for the live window [start, start+n).
-func (e *Engine) candidates(start, n int) (idx []int, zscores []float64) {
+// candidates returns the candidates (window index and robust z-score) of
+// the live window [start, start+n), in index order.
+func (e *Engine) candidates(start, n int) []core.Candidate {
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	t := e.d2
 	med := t.Median()
@@ -53,7 +55,7 @@ func (e *Engine) candidates(start, n int) (idx []int, zscores []float64) {
 	})
 	count := (lenA - firstA) + (lenB - firstB)
 	if count == 0 {
-		return nil, nil
+		return nil
 	}
 
 	type sel struct {
@@ -86,11 +88,9 @@ func (e *Engine) candidates(start, n int) (idx []int, zscores []float64) {
 		}
 	}
 	sort.Slice(picks, func(a, b int) bool { return picks[a].wi < picks[b].wi })
-	idx = make([]int, len(picks))
-	zscores = make([]float64, len(picks))
+	cands := make([]core.Candidate, len(picks))
 	for i, p := range picks {
-		idx[i] = p.wi
-		zscores[i] = rzOf(p.v)
+		cands[i] = core.Candidate{Index: p.wi, SecondDiffZ: rzOf(p.v)}
 	}
-	return idx, zscores
+	return cands
 }

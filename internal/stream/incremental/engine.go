@@ -221,7 +221,7 @@ func (e *Engine) BuildEnv(buf []float64, start int) *core.Env {
 		tree: e.tree, f: f, pts: pts, start: int64(start),
 	})
 	return &core.Env{
-		Candidates: func() ([]int, []float64) { return e.candidates(start, n) },
+		Candidates: func() []core.Candidate { return e.candidates(start, n) },
 		Computer:   comp,
 		Frequency: func(wlen int, word string) float64 {
 			return e.frequency(buf, start, wlen, word)
