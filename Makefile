@@ -7,8 +7,14 @@ all: check
 build:
 	$(GO) build ./...
 
+# gofmt gate: any .go file outside testdata/ (whose lint fixtures have
+# their layout pinned by want-comments) that gofmt would rewrite fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.*' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

@@ -219,7 +219,7 @@ func main() {
 			cfg := streambench.StreamBenchConfig{}
 			if *full {
 				cfg = streambench.StreamBenchConfig{
-					Windows:   []int{64, 128, 256, 512},
+					Windows:   []int{64, 128, 256, 512, 1024},
 					HopsPer:   16,
 					Streams:   100000,
 					PerStream: 96,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cabd/internal/core"
-	"cabd/internal/inn"
 	"cabd/internal/sanitize"
 	"cabd/internal/synth"
 )
@@ -48,21 +47,6 @@ func TestDetectDeterministic(t *testing.T) {
 		if got != first {
 			t.Fatalf("run %d diverged:\n--- run 1\n%s--- run %d\n%s", run, first, run, got)
 		}
-	}
-}
-
-// TestDetectEngineDifferential runs the same fixture under the default
-// rank-query INN engine and the legacy full-k-NN probe engine
-// (CABD_INN_ENGINE=legacy, read at computer construction): the two
-// engines answer identical membership questions, so detections must be
-// byte-identical.
-func TestDetectEngineDifferential(t *testing.T) {
-	s := synth.YahooLike(100, 2000)
-	rank := fingerprint(New(Options{Seed: 1}).Detect(s.Values))
-	t.Setenv(inn.LegacyEngineEnv, "legacy")
-	legacy := fingerprint(New(Options{Seed: 1}).Detect(s.Values))
-	if rank != legacy {
-		t.Fatalf("engines disagree:\n--- rank\n%s--- legacy\n%s", rank, legacy)
 	}
 }
 

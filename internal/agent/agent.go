@@ -41,7 +41,7 @@ type Agent struct {
 // same idempotency keys, and the server's dedup absorbs the replay —
 // at-least-once without a write-ahead log.
 type checkpoint struct {
-	Offsets map[string]int64           `json:"offsets"`
+	Offsets map[string]int64            `json:"offsets"`
 	Streams map[string]cabd.StreamState `json:"streams"`
 }
 

@@ -38,9 +38,8 @@ func fprintf(w io.Writer, format string, args ...interface{}) {
 // fields take smoke-scale defaults.
 type StreamBenchConfig struct {
 	// Windows are the analysis-window sizes of the per-point cost leg
-	// (default 64, 128, 256). The incremental engine's per-point cost
-	// should stay near-flat across them while the full-rerun engine's
-	// grows with the window.
+	// (default 64, 128, 256 and the stream default 1024), each checked
+	// for incremental/full detection equality.
 	Windows []int
 	// HopsPer sets the cost leg's stream length as Window*HopsPer
 	// (default 12), long enough that steady-state hops dominate.
@@ -58,7 +57,7 @@ type StreamBenchConfig struct {
 
 func (c StreamBenchConfig) defaults() StreamBenchConfig {
 	if len(c.Windows) == 0 {
-		c.Windows = []int{64, 128, 256}
+		c.Windows = []int{64, 128, 256, 1024}
 	}
 	if c.HopsPer <= 0 {
 		c.HopsPer = 12

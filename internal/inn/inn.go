@@ -40,7 +40,6 @@
 package inn
 
 import (
-	"os"
 	"sort"
 	"sync"
 
@@ -52,25 +51,12 @@ import (
 // anomalous pattern should not exceed 5% of the dataset (Section IV).
 const DefaultRangeFrac = 0.05
 
-// LegacyEngineEnv selects the naive probe engine when set to "legacy":
-// every mutual-membership probe answered by materializing a full k-NN
-// list and scanning it. Kept as the differential-test oracle for the
-// rank-query engine; see Computer.WithLegacyProbes.
-const LegacyEngineEnv = "CABD_INN_ENGINE"
-
-// Index answers the two primitive queries every INN strategy reduces to,
-// over the point set identified by indices 0..Len()-1 and the documented
-// (distance, index) neighbor order.
-//
-// The static implementation wraps a KD-tree over a fixed point slice; the
-// streaming engine supplies a sliding-window tree whose coordinates are
-// standardized on the fly through the current window frame. Both must
-// answer identically for the same logical point set — rank counting and
-// k-NN sets are functions of the points and the metric, not of the index
-// structure, which is what makes the engines differentially testable.
-type Index interface {
-	// Len returns the number of indexed points.
-	Len() int
+// index answers the two primitive queries every INN strategy reduces to,
+// over the point set identified by indices 0..n-1 and the documented
+// (distance, index) neighbor order. The two implementations wrap the 2-D
+// k-d tree (univariate embedding) and the d-dimensional one (multivariate
+// joint embedding).
+type index interface {
 	// RankAtMost returns min(rank, limit), where rank is the number of
 	// points ordering strictly ahead of point j in the (distance, index)
 	// neighbor order of point i (excluding i and j themselves). A result
@@ -81,14 +67,12 @@ type Index interface {
 	KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 }
 
-// staticIndex is the batch-path Index: a KD-tree built once over the full
-// embedding.
+// staticIndex is the univariate index: a KD-tree built once over the
+// 2-D (standardized index, standardized value) embedding.
 type staticIndex struct {
 	pts  [][2]float64
 	tree *kdtree.KD
 }
-
-func (s *staticIndex) Len() int { return len(s.pts) }
 
 func (s *staticIndex) RankAtMost(i, j, limit int) int {
 	return s.tree.RankAtMost(s.pts[i], kdtree.Dist(s.pts[i], s.pts[j]), j, i, limit)
@@ -98,14 +82,12 @@ func (s *staticIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor
 	return s.tree.KNNInto(s.pts[i], k, i, buf)
 }
 
-// ndIndex is the multivariate Index: a KD-tree over d-dimensional
+// ndIndex is the multivariate index: a KD-tree over d-dimensional
 // (standardized index, standardized channel values) rows.
 type ndIndex struct {
 	pts  [][]float64
 	tree *kdtree.ND
 }
-
-func (s *ndIndex) Len() int { return len(s.pts) }
 
 func (s *ndIndex) RankAtMost(i, j, limit int) int {
 	return s.tree.RankAtMost(s.pts[i], kdtree.DistN(s.pts[i], s.pts[j]), j, i, limit)
@@ -129,36 +111,24 @@ func (s *ndIndex) KNNInto(i, k int, buf []kdtree.Neighbor) []kdtree.Neighbor {
 // one cached walk answers every radius the gallop + binary search of
 // Algorithm 5 probes for that pair.
 type Computer struct {
-	idx    Index
-	n      int       // cached idx.Len()
+	idx    index
+	n      int       // number of indexed points
 	legacy bool      // answer probes via full k-NN lists (test oracle)
 	memo   *rankMemo // optional shared (i,j) -> rank cache
 }
 
-// NewComputer indexes pts (built once, queried many times). The probe
-// engine defaults to rank queries; setting CABD_INN_ENGINE=legacy in the
-// environment selects the naive k-NN-membership oracle instead.
+// NewComputer indexes pts (built once, queried many times). Probes are
+// answered by rank queries; WithLegacyProbes selects the naive
+// k-NN-membership oracle instead.
 func NewComputer(pts [][2]float64) *Computer {
-	return NewComputerOver(&staticIndex{pts: pts, tree: kdtree.New(pts)})
+	return &Computer{idx: &staticIndex{pts: pts, tree: kdtree.New(pts)}, n: len(pts)}
 }
 
 // NewComputerND indexes d-dimensional points (rows of equal length) — the
 // joint embedding of the multivariate extension. Neighborhood semantics
 // and the probe engine are those of NewComputer.
 func NewComputerND(pts [][]float64) *Computer {
-	return NewComputerOver(&ndIndex{pts: pts, tree: kdtree.NewND(pts)})
-}
-
-// NewComputerOver wraps a caller-supplied Index — the hook through which
-// the streaming engine runs the unmodified Algorithm 5 neighborhood logic
-// over its sliding-window tree. The same CABD_INN_ENGINE=legacy escape
-// hatch applies.
-func NewComputerOver(idx Index) *Computer {
-	return &Computer{
-		idx:    idx,
-		n:      idx.Len(),
-		legacy: os.Getenv(LegacyEngineEnv) == "legacy",
-	}
+	return &Computer{idx: &ndIndex{pts: pts, tree: kdtree.NewND(pts)}, n: len(pts)}
 }
 
 // WithLegacyProbes returns a copy of c whose mutual-membership probes use

@@ -182,20 +182,3 @@ func TestNComputerEngineIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyEnvGate checks the environment switch that keeps the naive
-// engine reachable without code changes.
-func TestLegacyEnvGate(t *testing.T) {
-	t.Setenv(LegacyEngineEnv, "legacy")
-	c := NewComputer([][2]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
-	if !c.legacy {
-		t.Fatal("CABD_INN_ENGINE=legacy did not select the legacy engine")
-	}
-	if !c.InTopK(0, 1, 1) || c.InTopK(0, 3, 2) {
-		t.Fatal("legacy engine gives wrong answers")
-	}
-	nc := NewComputerND([][]float64{{0, 0}, {1, 0}})
-	if !nc.legacy {
-		t.Fatal("ND computer ignored the engine env")
-	}
-}

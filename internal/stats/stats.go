@@ -129,16 +129,20 @@ func MAD(xs []float64) float64 {
 
 // RobustZ returns |x - median| / MAD for every element, the robust z-score
 // used to select candidate points. When MAD is zero (constant data), the
-// score is 0 where x equals the median and +Inf elsewhere.
+// score is 0 where x equals the median and +Inf elsewhere. The median is
+// taken once and the absolute deviations double as the MAD's input and
+// the numerators: two sorts, the same float expressions as MAD.
 func RobustZ(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	if len(xs) == 0 {
 		return out
 	}
 	med := Median(xs)
-	mad := MAD(xs)
 	for i, x := range xs {
-		d := math.Abs(x - med)
+		out[i] = math.Abs(x - med)
+	}
+	mad := Median(out)
+	for i, d := range out {
 		switch {
 		case mad > 0:
 			out[i] = d / mad

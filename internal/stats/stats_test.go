@@ -114,6 +114,42 @@ func TestRobustZ(t *testing.T) {
 	}
 }
 
+// TestRobustZMatchesMedianMAD pins RobustZ bit for bit to the
+// |x - Median(xs)| / MAD(xs) definition it computes with one sort fewer,
+// over odd and even lengths, exact ties and MAD-collapsing inputs.
+func TestRobustZMatchesMedianMAD(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = rng.NormFloat64() * 1e3
+			case 1:
+				xs[i] = float64(rng.Intn(4)) // heavy ties
+			default:
+				if rng.Intn(5) == 0 { // mostly zero: MAD collapses
+					xs[i] = rng.ExpFloat64()
+				}
+			}
+		}
+		med, mad := Median(xs), MAD(xs)
+		for i, z := range RobustZ(xs) {
+			d := math.Abs(xs[i] - med)
+			want := math.Inf(1)
+			switch {
+			case mad > 0:
+				want = d / mad
+			case d == 0:
+				want = 0
+			}
+			if math.Float64bits(z) != math.Float64bits(want) {
+				t.Fatalf("trial %d: RobustZ[%d] = %v, want %v (xs %v)", trial, i, z, want, xs)
+			}
+		}
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

@@ -77,7 +77,7 @@ func (e *Engine) syncCorpus(lc *lenCorpus, buf []float64, start int) {
 	}
 	// Append words whose span completed.
 	for g := lc.startG + (len(lc.words) - lc.head); g <= lastStart; g++ {
-		w := sax.Word(buf[g-start:g-start+lc.wlen], e.segments, e.alphabet)
+		w := sax.Word(buf[g-start:g-start+lc.wlen], e.cfg.SAXSegments, e.cfg.SAXAlphabet)
 		lc.words = append(lc.words, w)
 		lc.counts[w]++
 	}

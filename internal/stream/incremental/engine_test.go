@@ -12,68 +12,6 @@ import (
 	"cabd/internal/stats"
 )
 
-// TestTreapMatchesStats slides a window of seeded values (with heavy
-// duplicates and a flat stretch) and checks the treap's median and MAD
-// against the brute-force stats helpers at every step.
-func TestTreapMatchesStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := newOrderTreap(3)
-	const window = 57 // odd and even sizes both exercised during ramp-up
-	var buf []float64
-	var gs []int64
-	for g := int64(0); g < 600; g++ {
-		var v float64
-		switch {
-		case g > 200 && g < 260: // flat stretch: MAD collapses to 0
-			v = 4
-		case g%5 == 0: // duplicates: exact value ties
-			v = float64(int(g) % 7)
-		default:
-			v = rng.NormFloat64() * 10
-		}
-		tr.Insert(v, g)
-		buf = append(buf, v)
-		gs = append(gs, g)
-		if len(buf) > window {
-			tr.Remove(buf[0], gs[0])
-			buf, gs = buf[1:], gs[1:]
-		}
-		if tr.Len() != len(buf) {
-			t.Fatalf("g=%d: treap Len=%d buf=%d", g, tr.Len(), len(buf))
-		}
-		wantMed := stats.Median(buf)
-		gotMed := tr.Median()
-		if gotMed != wantMed { //cabd:lint-ignore floateq the treap contract is bit-identity with stats.Median
-			t.Fatalf("g=%d: median treap=%v stats=%v", g, gotMed, wantMed)
-		}
-		wantMAD := stats.MAD(buf)
-		gotMAD := tr.MAD(gotMed)
-		if gotMAD != wantMAD { //cabd:lint-ignore floateq the treap contract is bit-identity with stats.MAD
-			t.Fatalf("g=%d: MAD treap=%v stats=%v", g, gotMAD, wantMAD)
-		}
-	}
-}
-
-// TestTreapDescendOrder checks that descending-rank traversal yields
-// (value descending, index ascending) — the topDeviations selection
-// order — under exact value ties.
-func TestTreapDescendOrder(t *testing.T) {
-	tr := newOrderTreap(5)
-	vals := []float64{3, 1, 3, 2, 3, 1, 2}
-	for g, v := range vals {
-		tr.Insert(v, int64(g))
-	}
-	var got [][2]int64
-	tr.DescendRanks(func(v float64, g int64) bool {
-		got = append(got, [2]int64{int64(v), g})
-		return true
-	})
-	want := [][2]int64{{3, 0}, {3, 2}, {3, 4}, {2, 3}, {2, 6}, {1, 1}, {1, 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("descend order:\n got %v\nwant %v", got, want)
-	}
-}
-
 // streamSignal is the seeded test stream: sinusoid + noise with spikes,
 // a level shift, a flat (MAD-collapsing) stretch, and near-duplicate
 // ties — every regime the candidate and neighborhood stages branch on.
@@ -97,9 +35,29 @@ func streamSignal(rng *rand.Rand, i int) float64 {
 // TestIncrementalMatchesFull is the differential oracle: at every hop of
 // a seeded stream, the incremental engine's DetectEnvCtx result must be
 // bit-identical — detections, candidates, scores, query counts — to a
-// full DetectCtx rerun over the same window.
+// full DetectCtx rerun over the same window. The inputs cover a small
+// window with every regime of streamSignal, the default window 1024, and
+// a mostly flat stream whose MAD of Δ″ collapses to zero so candidate
+// estimation takes the topDeviations flood fallback.
 func TestIncrementalMatchesFull(t *testing.T) {
-	const window, hop, total = 64, 7, 400
+	cases := []struct {
+		name               string
+		window, hop, total int
+		signal             func(*rand.Rand, int) float64
+		flood              bool // every analysis must hit the flood fallback
+	}{
+		{"w64", 64, 7, 400, streamSignal, false},
+		{"w1024", 1024, 128, 6 * 1024, streamSignal, false},
+		{"mad-collapse", 256, 32, 1600, stepSignal, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkIncrementalMatchesFull(t, tc.window, tc.hop, tc.total, tc.signal, tc.flood)
+		})
+	}
+}
+
+func checkIncrementalMatchesFull(t *testing.T, window, hop, total int, signal func(*rand.Rand, int) float64, flood bool) {
 	opts := core.Options{Seed: 42}
 	full := core.NewDetector(opts)
 	inc := core.NewDetector(opts)
@@ -110,14 +68,12 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	start := 0
 	analyses := 0
 	for i := 0; i < total; i++ {
-		v := streamSignal(rng, i)
-		eng.Observe(i, v)
+		v := signal(rng, i)
 		buf = append(buf, v)
 		if len(buf) > window {
 			drop := len(buf) - window
 			buf = buf[drop:]
 			start += drop
-			eng.SlideTo(start)
 		}
 		if i%hop != hop-1 || len(buf) < 8 {
 			continue
@@ -134,10 +90,26 @@ func TestIncrementalMatchesFull(t *testing.T) {
 			t.Fatalf("start=%d: incremental detect: %v", start, err)
 		}
 		compareResults(t, start, got, want)
+		if flood && (stats.MAD(series.SecondDiff(buf)) != 0 || len(want.Candidates) != len(buf)/4) {
+			t.Fatalf("start=%d: no flood fallback (%d candidates, window %d)", start, len(want.Candidates), len(buf))
+		}
 	}
 	if analyses < 40 {
 		t.Fatalf("only %d analyses ran; stream setup is wrong", analyses)
 	}
+}
+
+// stepSignal is flat between sparse steps, with a one-point blip every
+// sixth point: each blip leaves two nonzero Δ″, so about a third of Δ″
+// is nonzero — the median and MAD of Δ″ are zero, RobustZ flags every
+// nonzero Δ″ as +Inf, and the candidate count passes n/4, which is the
+// flood fallback.
+func stepSignal(rng *rand.Rand, i int) float64 {
+	level := float64((i / 97) % 5)
+	if i%6 == 0 {
+		level += 0.5 * float64(rng.Intn(3)+1)
+	}
+	return level
 }
 
 func compareResults(t *testing.T, start int, got, want *core.Result) {

@@ -6,11 +6,13 @@
 // and cross-window deduplication.
 //
 // Two analysis engines are available. The default incremental engine
-// maintains the pipeline's per-window substrates (Δ″ order statistics,
-// KD-tree, SAX corpus) across slides, so a hop costs O(touched) instead
-// of O(window) rebuild work; the full engine reruns the batch pipeline
-// per hop. Both emit bit-identical detections — the full path is kept as
-// the differential oracle for the incremental one.
+// keeps the rolling SAX word corpus of the correlation score across
+// slides, so a hop adds and evicts O(hop) words instead of rebuilding
+// O(window · length) of them; candidates, the INN k-d tree, scoring and
+// classification run the batch code over the window. The full engine
+// reruns the whole batch pipeline per hop. Both emit bit-identical
+// detections — the full path is kept as the differential oracle for the
+// incremental one.
 package stream
 
 import (
@@ -29,9 +31,8 @@ import (
 type EngineMode int
 
 const (
-	// EngineIncremental (the default) maintains rolling pipeline state
-	// across window slides and recomputes only around arrived/evicted
-	// points each hop.
+	// EngineIncremental (the default) keeps the rolling SAX word corpus
+	// across window slides and runs every other stage over the window.
 	EngineIncremental EngineMode = iota
 	// EngineFull reruns the batch pipeline over the whole window every
 	// hop. Slower, but zero extra state — and the differential oracle
@@ -197,9 +198,9 @@ func (d *Detector) State() State {
 // Resume rebuilds a detector from a checkpointed State under cfg. The
 // configuration is not part of the state — a resumed agent applies its
 // (possibly reloaded) config to the restored stream position. The
-// incremental engine's rolling state is rebuilt by replaying the window,
-// which reproduces the continuously-run state exactly (every substrate
-// is a function of the live window alone).
+// incremental engine starts with an empty corpus and fills it from the
+// restored window at the first analysis: the corpus is a function of
+// the live window alone, so no replay is needed.
 func Resume(cfg Config, st State) *Detector {
 	d := New(cfg)
 	d.buf = append(d.buf, st.Window...)
@@ -209,11 +210,6 @@ func Resume(cfg Config, st State) *Detector {
 	d.bad = st.Bad
 	d.lastGood = st.LastGood
 	d.hasGood = st.HasGood
-	if d.eng != nil {
-		for i, v := range st.Window {
-			d.eng.Observe(st.Start+i, v)
-		}
-	}
 	for _, idx := range st.Emitted {
 		d.emitted[idx] = true
 	}
@@ -238,16 +234,10 @@ func (d *Detector) Push(v float64) []Detection {
 		d.lastGood, d.hasGood = v, true
 	}
 	d.buf = append(d.buf, v)
-	if d.eng != nil {
-		d.eng.Observe(d.start+len(d.buf)-1, v)
-	}
 	if len(d.buf) > d.cfg.Window {
 		drop := len(d.buf) - d.cfg.Window
 		d.buf = d.buf[drop:]
 		d.start += drop
-		if d.eng != nil {
-			d.eng.SlideTo(d.start)
-		}
 	}
 	d.total++
 	d.sinceRun++

@@ -10,9 +10,10 @@ import (
 type StreamEngine int
 
 const (
-	// StreamEngineIncremental (the default) maintains rolling pipeline
-	// state across window slides — per-hop cost scales with the points
-	// that arrived or expired, not the window length.
+	// StreamEngineIncremental (the default) keeps the rolling SAX word
+	// corpus of the correlation score across window slides, so a hop
+	// adds and evicts O(hop) words instead of rebuilding them all; every
+	// other stage runs the batch code over the window.
 	StreamEngineIncremental StreamEngine = StreamEngine(stream.EngineIncremental)
 	// StreamEngineFull reruns the batch pipeline over the whole window
 	// every hop; it is the differential oracle for the incremental
